@@ -34,9 +34,9 @@
 namespace fastjoin::bench {
 namespace {
 
-/// Disjoint-keyspace per-producer traces (same construction as
-/// live_throughput): the expected result set is independent of the
-/// producer interleaving, so every mode must agree exactly.
+/// Disjoint-keyspace per-producer traces: the expected result set is
+/// independent of the producer interleaving, so every mode must agree
+/// exactly.
 std::vector<std::vector<Record>> make_traces(int n_producers,
                                              std::uint64_t total,
                                              int keys_per_producer,
@@ -103,7 +103,6 @@ RunResult run_once(LogMode mode, std::uint32_t instances,
   LiveConfig cfg;
   cfg.instances = instances;
   cfg.balancer = false;  // exact cross-mode comparison: no migrations
-  cfg.data_plane = DataPlane::kLaned;
   if (crash_every > 0) {
     cfg.monitor_period = std::chrono::milliseconds(2);
     cfg.checkpoint_period = std::chrono::milliseconds(10);

@@ -2,12 +2,11 @@
 # Tier-1 gate plus sanitizer and static-analysis passes.
 #
 #   scripts/check.sh            # full: tier-1, TSan, ASan, UBSan,
-#                               #       no-telemetry, static analysis
+#                               #       static analysis
 #   scripts/check.sh --tier1    # tier-1 only
 #   scripts/check.sh --tsan     # TSan common+net+server+runtime+ingest+telemetry
 #   scripts/check.sh --asan     # ASan common+net+server+runtime+ingest+telemetry
 #   scripts/check.sh --ubsan    # UBSan common+net+server+runtime+ingest+telemetry
-#   scripts/check.sh --notel    # FASTJOIN_NO_TELEMETRY build + ctest only
 #   scripts/check.sh --static   # fastjoin-lint + clang-tidy +
 #                               # -Werror=thread-safety build (clang legs
 #                               # skip with a notice when clang is absent)
@@ -34,29 +33,26 @@ run_tier1=1
 run_tsan=1
 run_asan=1
 run_ubsan=1
-run_notel=1
 run_static=1
 run_protocol=1
 run_fuzz=1
 case "${1:-}" in
-  --tier1)  run_tsan=0; run_asan=0; run_ubsan=0; run_notel=0; run_static=0
+  --tier1)  run_tsan=0; run_asan=0; run_ubsan=0; run_static=0
             run_protocol=0; run_fuzz=0 ;;
-  --tsan)   run_tier1=0; run_asan=0; run_ubsan=0; run_notel=0; run_static=0
+  --tsan)   run_tier1=0; run_asan=0; run_ubsan=0; run_static=0
             run_protocol=0; run_fuzz=0 ;;
-  --asan)   run_tier1=0; run_tsan=0; run_ubsan=0; run_notel=0; run_static=0
+  --asan)   run_tier1=0; run_tsan=0; run_ubsan=0; run_static=0
             run_protocol=0; run_fuzz=0 ;;
-  --ubsan)  run_tier1=0; run_tsan=0; run_asan=0; run_notel=0; run_static=0
+  --ubsan)  run_tier1=0; run_tsan=0; run_asan=0; run_static=0
             run_protocol=0; run_fuzz=0 ;;
-  --notel)  run_tier1=0; run_tsan=0; run_asan=0; run_ubsan=0; run_static=0
+  --static) run_tier1=0; run_tsan=0; run_asan=0; run_ubsan=0
             run_protocol=0; run_fuzz=0 ;;
-  --static) run_tier1=0; run_tsan=0; run_asan=0; run_ubsan=0; run_notel=0
-            run_protocol=0; run_fuzz=0 ;;
-  --protocol) run_tier1=0; run_tsan=0; run_asan=0; run_ubsan=0; run_notel=0
+  --protocol) run_tier1=0; run_tsan=0; run_asan=0; run_ubsan=0
             run_static=0; run_fuzz=0 ;;
-  --fuzz)   run_tier1=0; run_tsan=0; run_asan=0; run_ubsan=0; run_notel=0
+  --fuzz)   run_tier1=0; run_tsan=0; run_asan=0; run_ubsan=0
             run_static=0; run_protocol=0 ;;
   "") ;;
-  *) echo "usage: $0 [--tier1|--tsan|--asan|--ubsan|--notel|--static|--protocol|--fuzz]" >&2
+  *) echo "usage: $0 [--tier1|--tsan|--asan|--ubsan|--static|--protocol|--fuzz]" >&2
      exit 2 ;;
 esac
 
@@ -109,13 +105,6 @@ if [[ $run_ubsan -eq 1 ]]; then
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" ./build-ubsan/tests/test_telemetry
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" ./build-ubsan/tests/test_ingest
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" ./build-ubsan/tests/test_runtime
-fi
-
-if [[ $run_notel -eq 1 ]]; then
-  echo "== no-telemetry: FASTJOIN_NO_TELEMETRY=ON build + full test suite =="
-  cmake -B build-notel -S . -DFASTJOIN_NO_TELEMETRY=ON >/dev/null
-  cmake --build build-notel -j "$jobs"
-  (cd build-notel && ctest --output-on-failure -j "$jobs")
 fi
 
 if [[ $run_static -eq 1 ]]; then

@@ -17,9 +17,6 @@ lines (stdlib only, no libclang). Rules:
                      `// FASTJOIN_HOT_PATH_END` must not use mutexes,
                      condition variables, sleeps, or allocate inside a
                      loop.
-  stub-parity        headers that carry both a real and a
-                     FASTJOIN_NO_TELEMETRY stub branch must declare the
-                     same classes with the same method names in both.
   banned-api         no C PRNG (rand/srand/random_shuffle), no gets, no
                      volatile-as-synchronization, no wall-clock/date
                      includes (<ctime>, <sys/time.h>) in src/ — steady
@@ -530,145 +527,6 @@ def check_hot_path(sf: SourceFile, findings: list[Finding]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Rule: stub-parity
-# ---------------------------------------------------------------------------
-
-CLASS_DECL_RE = re.compile(r"^(class|struct)\s+([A-Za-z_]\w*)")
-METHOD_NAME_RE = re.compile(r"(?<![\w.:>])([A-Za-z_]\w*)\s*\(")
-MACROISH_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
-
-
-def split_telemetry_branches(sf: SourceFile) -> tuple[list[str], list[str]] | None:
-    """(real_lines, stub_lines) for a header with an
-    #ifndef FASTJOIN_NO_TELEMETRY / #else / #endif split, else None."""
-    real: list[str] = []
-    stub: list[str] = []
-    stack: list[str] = []  # 'real' / 'stub' / 'other'
-    has_split = False
-    for raw, code in zip(sf.raw_lines, sf.code_lines):
-        s = raw.strip()
-        if s.startswith("#ifndef") and "FASTJOIN_NO_TELEMETRY" in s:
-            stack.append("real")
-            continue
-        if s.startswith("#ifdef") and "FASTJOIN_NO_TELEMETRY" in s:
-            stack.append("stub")
-            continue
-        if s.startswith("#if"):
-            stack.append("other")
-            continue
-        if s.startswith("#else"):
-            if stack and stack[-1] == "real":
-                stack[-1] = "stub"
-                has_split = True
-            elif stack and stack[-1] == "stub":
-                stack[-1] = "real"
-                has_split = True
-            continue
-        if s.startswith("#endif"):
-            if stack:
-                stack.pop()
-            continue
-        branch = next((b for b in reversed(stack) if b != "other"), None)
-        if branch == "real":
-            real.append(code)
-        elif branch == "stub":
-            stub.append(code)
-    if not has_split or not stub:
-        return None
-    return real, stub
-
-
-def extract_api(lines: list[str]) -> dict[str, set[str]]:
-    """{class_name: {method names}} plus {'<free>': {...}} for functions
-    at namespace scope. Only declarations at the class-body / namespace
-    brace depth count, so calls inside inline bodies are ignored."""
-    api: dict[str, set[str]] = {}
-    depth = 0
-    # (name or None-for-non-class scope, body_depth, access_public)
-    class_stack: list[tuple[str | None, int, bool]] = []
-    pending: tuple[str, str] | None = None  # (kind, name) awaiting '{'
-    for line in lines:
-        stripped = line.strip()
-        m = CLASS_DECL_RE.match(stripped)
-        if m and not stripped.rstrip().endswith(";"):
-            pending = (m.group(1), m.group(2))
-        if class_stack and stripped.startswith(("public:", "private:",
-                                                "protected:")):
-            name, bdepth, _ = class_stack[-1]
-            class_stack[-1] = (name, bdepth,
-                               stripped.startswith("public:"))
-        # Method extraction happens before brace tracking so one-line
-        # inline bodies are seen at class depth.
-        at_class_depth = (class_stack
-                          and depth == class_stack[-1][1] + 1
-                          and class_stack[-1][0] is not None
-                          and class_stack[-1][2])
-        at_ns_depth = not class_stack and depth <= 1
-        if (at_class_depth or at_ns_depth) \
-                and not stripped.startswith(("#", ":", ",", ")")):
-            mm = METHOD_NAME_RE.search(line)
-            if mm:
-                name = mm.group(1)
-                if (name not in CPP_KEYWORDS
-                        and not MACROISH_RE.match(name)):
-                    key = class_stack[-1][0] if at_class_depth else "<free>"
-                    api.setdefault(key, set()).add(name)
-        for c in line:
-            if c == "{":
-                if pending:
-                    kind, name = pending
-                    top_level = depth <= 1
-                    class_stack.append(
-                        (name if top_level else None, depth,
-                         kind == "struct"))
-                    pending = None
-                else:
-                    # Any other brace (function body, namespace, enum):
-                    # track anonymous scope when inside a class so
-                    # nested depths don't count as class depth.
-                    pass
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if class_stack and depth == class_stack[-1][1]:
-                    class_stack.pop()
-        if pending and stripped.endswith(";"):
-            pending = None
-    return api
-
-
-def check_stub_parity(sf: SourceFile, findings: list[Finding]) -> None:
-    rule = "stub-parity"
-    if not sf.path.endswith((".hpp", ".h", ".hh")):
-        return  # .cpp bodies are legitimately real-branch-only
-    branches = split_telemetry_branches(sf)
-    if branches is None:
-        return
-    real_api = extract_api(branches[0])
-    stub_api = extract_api(branches[1])
-    if sf.allowed(0, rule) or sf.allowed(1, rule):
-        return
-
-    def report(msg: str) -> None:
-        findings.append(Finding(sf.path, 1, rule, msg, sf.raw_lines[0]))
-
-    for cls in sorted(set(real_api) | set(stub_api)):
-        r = real_api.get(cls)
-        s = stub_api.get(cls)
-        if r is None or s is None:
-            which = "stub" if s is None else "real"
-            report(f"`{cls}` is declared in only one branch (missing "
-                   f"from the {which} FASTJOIN_NO_TELEMETRY branch)")
-            continue
-        for name in sorted(r - s):
-            report(f"`{cls}::{name}` exists in the real branch but not "
-                   f"in the FASTJOIN_NO_TELEMETRY stub")
-        for name in sorted(s - r):
-            report(f"`{cls}::{name}` exists in the FASTJOIN_NO_TELEMETRY "
-                   f"stub but not in the real branch")
-
-
-# ---------------------------------------------------------------------------
 # Rule: banned-api
 # ---------------------------------------------------------------------------
 
@@ -1044,7 +902,6 @@ def run(paths: list[str], fuzz_dir: str | None = None) -> list[Finding]:
     for sf in files:
         check_atomic_order(sf, atomic_scopes[sf.path], findings)
         check_hot_path(sf, findings)
-        check_stub_parity(sf, findings)
         check_banned_api(sf, findings)
         check_protocol_clock(sf, findings)
         check_net_socket(sf, findings)

@@ -14,7 +14,7 @@ namespace {
 /// Records per read() refill; bounds stack/heap churn on big scans.
 constexpr std::size_t kReadChunk = 256;
 
-/// Cached registry handles (no-ops under FASTJOIN_NO_TELEMETRY).
+/// Cached registry handles, resolved once on first use.
 struct IngestMetrics {
   tel::Counter& appended;
   tel::Counter& backpressure;
@@ -167,8 +167,10 @@ std::optional<std::uint64_t> StreamLog::try_append(std::uint32_t partition,
   seg.append(buf, kLogRecordBytes);
   appended_records_.fetch_add(1, std::memory_order_relaxed);
   appended_bytes_.fetch_add(kLogRecordBytes, std::memory_order_relaxed);
+  // No flight event here: a caller appending one record at a time
+  // would pay a clock read per record and overwrite its thread's ring
+  // within a thousand records. append_batch records one per call.
   ingest_metrics().appended.add(1);
-  tel::flight_record(tel::FlightEvent::kIngestAppend, partition, 1);
   return p.next_offset++;
 }
 

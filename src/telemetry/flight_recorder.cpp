@@ -1,19 +1,16 @@
 #include "telemetry/flight_recorder.hpp"
 
-#include <ostream>
-
-#ifndef FASTJOIN_NO_TELEMETRY
 #include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "common/mutex.hpp"
 #include "common/thread_safety.hpp"
 #include "telemetry/clock.hpp"
-#endif
 
 namespace fastjoin::telemetry {
 
@@ -48,8 +45,6 @@ const char* flight_event_name(FlightEvent ev) {
   }
   return "?";
 }
-
-#ifndef FASTJOIN_NO_TELEMETRY
 
 namespace {
 
@@ -212,13 +207,5 @@ bool flight_dump(const std::string& path) {
   flight_dump(f);
   return static_cast<bool>(f);
 }
-
-#else  // FASTJOIN_NO_TELEMETRY
-
-void flight_dump(std::ostream& os) {
-  os << "=== flight recorder compiled out (FASTJOIN_NO_TELEMETRY) ===\n";
-}
-
-#endif  // FASTJOIN_NO_TELEMETRY
 
 }  // namespace fastjoin::telemetry

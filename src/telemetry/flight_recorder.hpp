@@ -65,8 +65,6 @@ inline std::uint64_t flight_id(int side, std::uint64_t instance) {
   return (static_cast<std::uint64_t>(side) << 32) | instance;
 }
 
-#ifndef FASTJOIN_NO_TELEMETRY
-
 /// Record one event into the calling thread's ring. Wait-free.
 void flight_record(FlightEvent ev, std::uint64_t a = 0,
                    std::uint64_t b = 0);
@@ -80,24 +78,12 @@ void flight_dump(std::ostream& os);
 bool flight_dump(const std::string& path);
 
 /// Total events ever recorded by this process (post-wrap events still
-/// count; used by tests and the overhead bench).
+/// count; used by tests).
 std::uint64_t flight_recorded_total();
 
 /// Events kept per thread ring.
 inline constexpr std::size_t kFlightRingCapacity = 1024;
 /// Retained rings (live + retired) before recycling.
 inline constexpr std::size_t kFlightMaxRings = 128;
-
-#else  // FASTJOIN_NO_TELEMETRY
-
-inline void flight_record(FlightEvent, std::uint64_t = 0,
-                          std::uint64_t = 0) {}
-void flight_dump(std::ostream& os);  // prints a "compiled out" note
-inline bool flight_dump(const std::string&) { return false; }
-inline std::uint64_t flight_recorded_total() { return 0; }
-inline constexpr std::size_t kFlightRingCapacity = 0;
-inline constexpr std::size_t kFlightMaxRings = 0;
-
-#endif  // FASTJOIN_NO_TELEMETRY
 
 }  // namespace fastjoin::telemetry

@@ -15,12 +15,6 @@
 //    ring buffer of recent data/control-plane events, dumped on crash,
 //    migration abort, or test failure so chaos regressions are
 //    diagnosable from the artifact alone.
-//
-// Compile-time kill switch: building with -DFASTJOIN_NO_TELEMETRY
-// (CMake option of the same name) replaces every API below with inline
-// no-op stubs of identical shape, so call sites compile unchanged and
-// the instrumentation costs literally nothing. bench/telemetry_overhead
-// proves the *enabled* cost is <= 3% against that build.
 #pragma once
 
 #include "telemetry/clock.hpp"           // IWYU pragma: export

@@ -17,9 +17,6 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
-
-#ifndef FASTJOIN_NO_TELEMETRY
-
 #include <vector>
 
 #include "common/mutex.hpp"
@@ -102,43 +99,3 @@ class ScopedSpan {
 };
 
 }  // namespace fastjoin::telemetry
-
-#else  // FASTJOIN_NO_TELEMETRY ------------------------------------------
-
-namespace fastjoin::telemetry {
-
-struct TraceSpan {};
-
-class TraceLog {
- public:
-  static constexpr std::size_t kMaxSpans = 0;
-  static constexpr std::uint64_t kInvalid = ~0ull;
-  std::uint64_t begin(std::string_view, std::string_view) {
-    return kInvalid;
-  }
-  void end(std::uint64_t) {}
-  void arg(std::uint64_t, std::string_view, std::int64_t) {}
-  void instant(std::string_view, std::string_view) {}
-  std::size_t size() const { return 0; }
-  std::uint64_t dropped() const { return 0; }
-  void clear() {}
-  void write_chrome_trace(std::ostream&) const {}
-  bool write_chrome_trace(const std::string&) const { return false; }
-  static TraceLog& global() {
-    static TraceLog t;
-    return t;
-  }
-};
-
-class ScopedSpan {
- public:
-  ScopedSpan(TraceLog&, std::string_view, std::string_view) {}
-  ScopedSpan(std::string_view, std::string_view) {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  void arg(std::string_view, std::int64_t) {}
-};
-
-}  // namespace fastjoin::telemetry
-
-#endif  // FASTJOIN_NO_TELEMETRY

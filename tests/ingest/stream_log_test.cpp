@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "ingest/stream_log.hpp"
+#include "telemetry/flight_recorder.hpp"
 
 namespace fastjoin {
 namespace {
@@ -132,6 +133,23 @@ TEST(StreamLog, BackpressureRefusesThenFlushClears) {
     EXPECT_EQ(log.append(0, rec_of(i)), i);
   }
   EXPECT_GT(log.stats().backpressure_hits, 1u);
+}
+
+TEST(StreamLog, SingleRecordAppendWritesNoFlightEvent) {
+  // A caller appending one record at a time must not write a flight
+  // event per record: that costs a clock read per record and overwrites
+  // the thread's ring within a thousand records. Only backpressure
+  // refusals (one per flush append() makes) may record.
+  IngestConfig cfg;
+  cfg.max_unflushed_bytes = 64 * kLogRecordBytes;
+  StreamLog log(cfg);
+  const std::uint64_t before = telemetry::flight_recorded_total();
+  for (std::uint64_t i = 0; i < 10'000; ++i) log.append(0, rec_of(i));
+  const std::uint64_t recorded =
+      telemetry::flight_recorded_total() - before;
+  EXPECT_EQ(log.stats().appended_records, 10'000u);
+  EXPECT_GT(log.stats().backpressure_hits, 0u);
+  EXPECT_LE(recorded, log.stats().backpressure_hits);
 }
 
 TEST(StreamLog, SubRecordBackpressureBoundIsClamped) {

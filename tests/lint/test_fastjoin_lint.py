@@ -84,10 +84,6 @@ def main():
            exact_lines=[10])
     expect("hot_path_allowed.cpp", "hot-path-blocking", 0)
 
-    # --- stub-parity ------------------------------------------------
-    expect("stub_parity_bad.hpp", "stub-parity", 2)
-    expect("stub_parity_good.hpp", "stub-parity", 0)
-
     # --- banned-api -------------------------------------------------
     expect("banned_bad.cpp", "banned-api", 4)
     expect("banned_allowed.cpp", "banned-api", 0)

@@ -9,13 +9,17 @@
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <unordered_set>
 
 #include "runtime/live_engine.hpp"
 
 #include "datagen/keygen.hpp"
+#include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/trace.hpp"
 
 namespace fastjoin {
 namespace {
@@ -31,23 +35,14 @@ std::uint64_t recoveries_now() {
 /// Wait (bounded) until the supervisor has logged `want` respawns past
 /// `before`. A fixed post-crash sleep is a race under sanitizer
 /// slowdown: the 2ms-period monitor may not get scheduled, let alone
-/// finish the store rebuild, before finish() closes the feed. With
-/// FASTJOIN_NO_TELEMETRY the stub counter reads 0 forever, so fall
-/// back to a fixed 100ms grace sleep — generous at native speed, and
-/// the notel leg does not run under sanitizers.
+/// finish the store rebuild, before finish() closes the feed.
 void wait_for_recoveries(std::uint64_t before, std::uint64_t want = 1) {
-#ifdef FASTJOIN_NO_TELEMETRY
-  (void)before;
-  (void)want;
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-#else
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (std::chrono::steady_clock::now() < deadline) {
     if (recoveries_now() >= before + want) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-#endif
   // Let the respawned worker re-enter its drain loop before the caller
   // proceeds (the counter ticks when the respawn is published).
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -656,28 +651,6 @@ TEST(LiveChaos, DeadLaneDropsExactlyTheFailedDelivery) {
   EXPECT_EQ(stats.crashes, 2u);
 }
 
-TEST(LiveChaos, LegacyDeadQueueDropsExactlyTheFailedDelivery) {
-  LiveConfig cfg;
-  cfg.instances = 2;
-  cfg.balancer = false;
-  cfg.data_plane = DataPlane::kLegacyLocked;
-  cfg.monitor_period = std::chrono::milliseconds(1000);
-  LiveEngine engine(cfg);
-  engine.start();
-  engine.crash(Side::kS, 0);
-  engine.crash(Side::kS, 1);
-  Record rec;
-  rec.side = Side::kS;  // store delivery dies, probe (R side) lands
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    rec.key = i;
-    rec.seq = i;
-    EXPECT_FALSE(engine.push(rec));
-  }
-  const auto stats = engine.finish();
-  EXPECT_EQ(stats.records_dropped, 100u);
-  EXPECT_EQ(stats.records_in, 100u);
-}
-
 TEST(LiveChaos, DropsAreCountedWhileWorkerIsDown) {
   LiveConfig cfg;
   cfg.instances = 2;
@@ -773,6 +746,81 @@ TEST(LiveChaos, SurvivesRepeatedRandomCrashes) {
   EXPECT_GE(stats.recoveries, stats.crashes - 1);
   EXPECT_EQ(log.duplicates(), 0u);
   EXPECT_LE(log.unique(), expected_pairs(trace));
+}
+
+
+TEST(LiveChaos, MigrationAndRecoveryEmitSpanTreeAndFlightDump) {
+  // The observability contract of docs/observability.md, end to end: a
+  // skewed two-producer feed with checkpoints, ingest replay and one
+  // induced crash must leave a Chrome trace holding the whole migration
+  // span tree and the fault spans, and a flight dump that shows the
+  // respawn.
+  telemetry::TraceLog::global().clear();
+  LiveConfig cfg;
+  cfg.instances = 4;
+  cfg.balancer = true;
+  cfg.monitor_period = std::chrono::milliseconds(10);
+  cfg.min_heaviest_load = 50.0;  // migrate eagerly on the skewed feed
+  cfg.checkpoint_period = std::chrono::milliseconds(30);
+  cfg.ingest.enabled = true;
+  cfg.ingest.replay = true;
+  // No migration-phase faults: keep the declare-dead backstop out of
+  // reach of sanitizer slowdown.
+  cfg.migration_timeout = std::chrono::minutes(10);
+  LiveEngine engine(cfg);
+  engine.start();
+
+  const std::uint64_t before = recoveries_now();
+  // Disjoint keys, sequence numbers and timestamps per producer.
+  std::vector<std::vector<Record>> traces;
+  for (std::uint64_t p = 0; p < 2; ++p) {
+    traces.push_back(make_trace(40 + p, 30'000, 400, 1.2));
+    for (Record& rec : traces.back()) {
+      rec.key = rec.key * 2 + p;
+      rec.seq = rec.seq * 2 + p;
+      rec.ts = rec.ts * 2 + p;
+    }
+  }
+  std::vector<std::thread> producers;
+  for (std::size_t pi = 0; pi < traces.size(); ++pi) {
+    producers.emplace_back([&engine, &trace = traces[pi], pi] {
+      const int id = engine.register_producer();
+      constexpr std::size_t kBatch = 256;
+      for (std::size_t i = 0; i < trace.size(); i += kBatch) {
+        if (pi == 0 && i == kBatch * (trace.size() / kBatch / 2)) {
+          engine.crash(Side::kR, 0);  // mid-feed: respawn + replay
+        }
+        const std::size_t n = std::min(kBatch, trace.size() - i);
+        engine.push_batch(trace.data() + i, n, id);
+        if (i % (kBatch * 16) == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  wait_for_recoveries(before);
+  const auto stats = engine.finish();
+  ASSERT_GE(stats.migrations + stats.migrations_aborted, 1u);
+  ASSERT_GE(stats.recoveries, 1u);
+
+  std::ostringstream trace;
+  telemetry::TraceLog::global().write_chrome_trace(trace);
+  const std::string json = trace.str();
+  const auto has_span = [&json](const char* name) {
+    return json.find(std::string("\"name\": \"") + name + "\"") !=
+           std::string::npos;
+  };
+  for (const char* name : {"migrate", "extract", "hold", "hold_ack",
+                           "route_publish", "transfer", "crash",
+                           "respawn", "replay"}) {
+    EXPECT_TRUE(has_span(name)) << "missing span " << name;
+  }
+  EXPECT_TRUE(has_span("absorb") || has_span("abort"));
+
+  std::ostringstream dump;
+  telemetry::flight_dump(dump);
+  EXPECT_NE(dump.str().find("respawn"), std::string::npos);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <thread>
 #include <unordered_set>
 
+#include "common/hash.hpp"
 #include "runtime/live_engine.hpp"
 
 #include "datagen/keygen.hpp"
@@ -285,34 +286,78 @@ TEST(LiveDataPlane, SampledLatencyStatsStayPopulated) {
   }
 }
 
-TEST(LiveDataPlane, LegacyLockedPlaneStillExact) {
-  // The baseline data plane (global route lock + unified queue) must
-  // remain correct: it is what the throughput bench compares against.
+TEST(LiveDataPlane, HotKeyMigrationOfHundredThousandTuplesIsExact) {
+  // Three hot keys, all owned by instance 0 of each side, 100k tuples
+  // per key per side, so any migration the balancer makes absorbs a
+  // whole 100k-tuple bucket at the target. The sides are fed one after
+  // the other: a group's load is stored x (probes per tick + lane
+  // backlog), so while a group only stores, its load stays below
+  // 300k x 256 = 7.7e7 and under min_heaviest_load; once the other
+  // side probes it, one tick of probes lifts it above. Lane FIFO puts
+  // every store ahead of the first probe, so the first migration moves
+  // a full key. A duplicated tuple at the target would inflate every
+  // later probe of the key, so exact results also mean no duplicates.
+  constexpr std::uint64_t kPerKey = 100'000;
+  std::vector<KeyId> hot;
+  for (KeyId k = 1; hot.size() < 3; ++k) {
+    if (instance_of(k, 2) == 0) hot.push_back(k);
+  }
   LiveConfig cfg;
-  cfg.instances = 3;
+  cfg.instances = 2;
   cfg.balancer = true;
-  cfg.planner.theta = 1.2;
-  cfg.min_heaviest_load = 10.0;
-  cfg.monitor_period = std::chrono::milliseconds(2);
-  cfg.data_plane = DataPlane::kLegacyLocked;
+  cfg.planner.theta = 5.0;
+  cfg.monitor_period = std::chrono::milliseconds(20);
+  cfg.lane_capacity = 256;
+  cfg.min_heaviest_load = 3e8;
   // No faults injected: keep the declare-dead backstop out of reach of
   // sanitizer slowdown (see MultiProducerBatchedExactlyOnceWithMigrations).
   cfg.migration_timeout = std::chrono::minutes(10);
   LiveEngine engine(cfg);
-  MatchLog log;
-  engine.set_on_match([&](const MatchPair& p) { log.add(p); });
   engine.start();
+  const int id = engine.register_producer();
 
-  const int n_producers = 2;
-  std::vector<std::vector<Record>> traces;
-  for (int p = 0; p < n_producers; ++p) {
-    traces.push_back(
-        make_producer_trace(p, n_producers, 6'000, 300, 1.0));
-  }
-  feed_concurrently(engine, traces, 32);
+  std::uint64_t ts = 0;
+  std::uint64_t seq[2] = {0, 0};
+  std::map<KeyId, std::pair<std::uint64_t, std::uint64_t>> counts;
+  const auto feed = [&](Side side, std::uint64_t per_key) {
+    std::vector<Record> batch;
+    for (std::uint64_t i = 0; i < per_key; ++i) {
+      for (KeyId k : hot) {
+        Record rec;
+        rec.side = side;
+        rec.key = k;
+        rec.seq = seq[static_cast<int>(side)]++;
+        rec.ts = ts++;
+        rec.payload = rec.ts;
+        batch.push_back(rec);
+        auto& [r, s] = counts[k];
+        (side == Side::kR ? r : s)++;
+      }
+      if (batch.size() >= 1024) {
+        engine.push_batch(batch, id);
+        batch.clear();
+      }
+    }
+    engine.push_batch(batch, id);
+    // Let the phase drain and a few ticks pass so the next phase's
+    // ticks see only its own probes.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  };
+  feed(Side::kR, kPerKey);       // R stores fill; S instances only probe
+  feed(Side::kS, kPerKey);       // R group probed: migrates a hot key
+  feed(Side::kR, kPerKey / 10);  // S group probed: migrates a hot key
   const auto stats = engine.finish();
-  EXPECT_EQ(log.duplicates(), 0u);
-  EXPECT_EQ(stats.results, expected_pairs(traces));
+
+  std::uint64_t expected = 0;
+  for (const auto& [_, rs] : counts) expected += rs.first * rs.second;
+  EXPECT_EQ(stats.results, expected);
+  EXPECT_GE(stats.migrations, 1u);
+  EXPECT_GE(stats.tuples_migrated, kPerKey);
+  EXPECT_EQ(stats.migrations_aborted, 0u);
+  EXPECT_EQ(stats.records_dropped, 0u);
+  EXPECT_EQ(stats.buffered_lost, 0u);
+  EXPECT_EQ(stats.stores, stats.records_in);
+  EXPECT_EQ(stats.probes, stats.records_in);
 }
 
 TEST(LiveDataPlane, ProducerRegistrationExhaustsToFallback) {

@@ -22,19 +22,6 @@ std::string dump() {
   return os.str();
 }
 
-#ifdef FASTJOIN_NO_TELEMETRY
-
-TEST(TelemetryStubs, FlightRecorderCompilesToNoOps) {
-  flight_record(FlightEvent::kCrash, 1, 2);
-  EXPECT_EQ(flight_recorded_total(), 0u);
-  EXPECT_FALSE(flight_dump(std::string("unused.dump")));
-  EXPECT_NE(dump().find("compiled out"), std::string::npos);
-  // Names stay available for tooling even when recording is out.
-  EXPECT_STREQ(flight_event_name(FlightEvent::kCrash), "crash");
-}
-
-#else  // telemetry enabled ----------------------------------------------
-
 TEST(FlightRecorder, RecordsAreCountedAndDumped) {
   const std::uint64_t before = flight_recorded_total();
   flight_record(FlightEvent::kCtrlHold, 77001, 42);
@@ -123,8 +110,6 @@ TEST(FlightRecorder, EventNamesAreStable) {
                "ingest_backpressure");
   EXPECT_STREQ(flight_event_name(static_cast<FlightEvent>(60'000)), "?");
 }
-
-#endif  // FASTJOIN_NO_TELEMETRY
 
 }  // namespace
 }  // namespace fastjoin::telemetry
